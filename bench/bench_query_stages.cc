@@ -8,10 +8,9 @@
 //   setup            : validation + keyword mapping + processor setup
 //   window_lookup    : [ts, te] -> height range
 //   match_walk       : block walk, clause matching, skip attempts
-//   aggregate        : multiset summing + digesting (contains the MSM)
+//   aggregate        : per-clause aggregate proving (cache probe or prove)
 //   prove            : deferred disjointness proving
 //   serialize        : canonical response encoding
-//   msm              : informational sub-stage of aggregate
 //
 // A second, untraced service (ServiceOptions::tracing = false, the true
 // zero-instrumentation path) answers the same query; `total_untraced-<e>`
@@ -20,6 +19,8 @@
 //
 // Emits BENCH_query_stages.json. `--quick` shrinks the workload for CI
 // smoke; absolute numbers come from full runs.
+
+#include <iterator>
 
 #include "core/query_trace.h"
 #include "harness.h"
@@ -92,7 +93,7 @@ int main(int argc, char** argv) {
     };
     StageSamples stages[] = {{"total"},   {"setup"},     {"window_lookup"},
                              {"match_walk"}, {"aggregate"}, {"prove"},
-                             {"serialize"},  {"msm"}};
+                             {"serialize"}};
     for (size_t i = 0; i < iters; ++i) {
       core::QueryTrace t;
       if (!svc->Query(q, &t).ok()) std::abort();
@@ -102,9 +103,10 @@ int main(int argc, char** argv) {
                        static_cast<double>(t.match_walk_ns),
                        static_cast<double>(t.aggregate_ns),
                        static_cast<double>(t.prove_ns),
-                       static_cast<double>(t.serialize_ns),
-                       static_cast<double>(t.msm_ns)};
-      for (size_t s = 0; s < 8; ++s) stages[s].ns.push_back(vals[s]);
+                       static_cast<double>(t.serialize_ns)};
+      for (size_t s = 0; s < std::size(stages); ++s) {
+        stages[s].ns.push_back(vals[s]);
+      }
     }
     // The untraced control: same chain, same query, tracing compiled in
     // but disabled — wall-clocked from outside since there is no trace to

@@ -2,7 +2,8 @@
 //
 // Owns, per service: the engine, the chain builder (miner write-through +
 // timestamp index), the optional durable store with its shared decoded-block
-// cache, the shared mutex-striped proof cache, and the subscription manager.
+// cache, the shared mutex-striped proof cache, and the subscription manager
+// (which proves into that same cache).
 //
 // Locking model (state_mu_, a shared_mutex):
 //   * Query takes a *shared* lock: any number run concurrently. Each query
@@ -385,11 +386,10 @@ class ServiceBackend final : public IServiceBackend {
         engine_(std::move(engine)),
         proof_cache_(options_.config.proof_cache_capacity,
                      options_.proof_cache_shards),
-        subs_(engine_, options_.config, SubOptions()) {}
+        subs_(engine_, options_.config, SubOptions(), &proof_cache_) {}
 
   typename sub::SubscriptionManager<Engine>::Options SubOptions() const {
     typename sub::SubscriptionManager<Engine>::Options o;
-    o.use_ip_tree = options_.subscriptions_share_proofs;
     o.matcher = options_.sub_matcher;
     return o;
   }

@@ -549,9 +549,6 @@ std::string Service::DebugConfigJson() const {
               &first);
   AppendField(&out, "proof_cache_shards", o.proof_cache_shards,
               defaults.proof_cache_shards, &first);
-  AppendBoolField(&out, "subscriptions_share_proofs",
-                  o.subscriptions_share_proofs,
-                  defaults.subscriptions_share_proofs, &first);
   AppendStringField(&out, "sub_matcher", sub::MatcherModeName(o.sub_matcher),
                     sub::MatcherModeName(defaults.sub_matcher), &first);
   AppendBoolField(&out, "sub_checkpoints", o.sub_checkpoints,

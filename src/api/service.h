@@ -117,9 +117,6 @@ struct ServiceOptions {
   /// LRU; more stripes cut contention between query threads).
   size_t proof_cache_shards = 16;
 
-  /// Subscription proof sharing across standing queries (§7.1).
-  bool subscriptions_share_proofs = true;
-
   /// Subscription matching strategy (sub/match/): kLinear scans every
   /// standing query per block; kIndexed drives matching through the
   /// clause-inverted index and builds each notification once per group of
@@ -225,6 +222,7 @@ struct ServiceStats {
   /// Sequence number of the latest durable subscription checkpoint
   /// (0 = none written or loaded; checkpointing off or in-memory mode).
   uint64_t sub_checkpoint_seq = 0;
+  /// The one disjointness-proof cache: query and subscription proofs.
   LruStats proof_cache;
   LruStats block_cache;  ///< zero in in-memory mode (no decoded-block cache)
 

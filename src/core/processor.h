@@ -158,12 +158,9 @@ class QueryProcessor {
 
     {
       // FlushAggregates' inline proving (the acc2 batch path) deliberately
-      // gets no span of its own: it stays inside the aggregate stage, as it
-      // always has. Its MSM sub-stage does get "msm" child spans.
+      // gets no span of its own: it stays inside the aggregate stage.
       trace::ScopedSpan s_agg(spans_, "aggregate");
-      agg_span_ = s_agg.id();
       FlushAggregates(&agg, tq, &resp.vo);
-      agg_span_ = 0;
     }
     ResolveDeferredProofs(tq, &resp.vo);
     return FinishTrace(std::move(resp));
@@ -190,7 +187,6 @@ class QueryProcessor {
     trace_ = nullptr;
     spans_ = nullptr;
     walk_span_ = 0;
-    agg_span_ = 0;
     return value;
   }
 
@@ -203,7 +199,6 @@ class QueryProcessor {
   /// A proof postponed for the parallel resolution pass.
   struct DeferredProof {
     Multiset w;
-    typename Engine::ObjectDigest digest;
     uint32_t clause_idx;
   };
 
@@ -213,18 +208,16 @@ class QueryProcessor {
   /// opened, which the stage projection subtracts from match_walk_ns so
   /// walk and prove stay non-overlapping (FlushAggregates' proving stays
   /// inside the aggregate stage instead).
-  Result<typename Engine::Proof> TracedGetOrProve(
-      const typename Engine::ObjectDigest& digest, const Multiset& w,
-      const Multiset& clause, bool in_walk) {
-    if (trace_ == nullptr) {
-      return cache_->GetOrProve(engine_, digest, w, clause);
-    }
+  Result<typename Engine::Proof> TracedGetOrProve(const Multiset& w,
+                                                  const Multiset& clause,
+                                                  bool in_walk) {
+    if (trace_ == nullptr) return cache_->GetOrProve(engine_, w, clause);
     bool hit = false;
     uint32_t sp = 0;
     if (in_walk) {
       sp = SpanBegin("prove", walk_span_ != 0 ? walk_span_ : trace::kRootSpan);
     }
-    auto proof = cache_->GetOrProve(engine_, digest, w, clause, &hit);
+    auto proof = cache_->GetOrProve(engine_, w, clause, &hit);
     SpanEnd(sp);
     if (hit) {
       ++trace_->proof_cache_hits;
@@ -304,7 +297,7 @@ class QueryProcessor {
         resp->objects.push_back(block.objects[i]);
       } else {
         int clause = view.FindDisjointClause(mapped_w_);
-        FillMismatch(block.objects[i].Hash(), node.digest, w,
+        FillMismatch(block.objects[i].Hash(), w,
                      static_cast<uint32_t>(clause), tq, agg, &node);
       }
       bvo->nodes.push_back(std::move(node));
@@ -340,17 +333,14 @@ class QueryProcessor {
         n.IsLeaf() ? block.objects[n.object_index].Hash()
                    : crypto::HashPair(block.nodes[n.left].hash,
                                       block.nodes[n.right].hash);
-    FillMismatch(inner, n.digest, n.w, static_cast<uint32_t>(clause), tq, agg,
-                 &vn);
+    FillMismatch(inner, n.w, static_cast<uint32_t>(clause), tq, agg, &vn);
     out->push_back(std::move(vn));
     return static_cast<int32_t>(out->size()) - 1;
   }
 
-  void FillMismatch(const Hash32& inner,
-                    const typename Engine::ObjectDigest& digest,
-                    const Multiset& w, uint32_t clause_idx,
-                    const TransformedQuery& tq, Aggregator* agg,
-                    VoNode<Engine>* node) {
+  void FillMismatch(const Hash32& inner, const Multiset& w,
+                    uint32_t clause_idx, const TransformedQuery& tq,
+                    Aggregator* agg, VoNode<Engine>* node) {
     node->kind = VoKind::kMismatch;
     node->inner_hash = inner;
     node->clause_idx = clause_idx;
@@ -362,11 +352,11 @@ class QueryProcessor {
       if (config_.num_prover_threads > 1) {
         // Defer: the proof is resolved on the worker pool after the walk;
         // the node is findable because VO nodes are only appended.
-        deferred_.push_back(DeferredProof{w, digest, clause_idx});
+        deferred_.push_back(DeferredProof{w, clause_idx});
         return;
       }
       auto proof =
-          TracedGetOrProve(digest, w, tq.clauses[clause_idx], /*in_walk=*/true);
+          TracedGetOrProve(w, tq.clauses[clause_idx], /*in_walk=*/true);
       // A failure here would mean the match decision and the accumulator
       // disagree, which the mapped-match relation rules out by construction.
       assert(proof.ok());
@@ -387,7 +377,7 @@ class QueryProcessor {
       trace::ScopedSpan prove_span(spans_, "prove");
       const uint32_t prove_id =
           prove_span.id() != 0 ? prove_span.id() : trace::kRootSpan;
-      // Deduplicate under the cache key H(digest | clause) and resolve
+      // Deduplicate under the content cache key H(w | clause) and resolve
       // cache hits up front; only genuinely new proofs hit the pool.
       using Key = typename ProofCache<Engine>::Key;
       struct Job {
@@ -400,8 +390,8 @@ class QueryProcessor {
       std::vector<size_t> job_of_deferred(deferred_.size());
       std::vector<size_t> to_compute;
       for (size_t i = 0; i < deferred_.size(); ++i) {
-        Key key = ProofCache<Engine>::KeyFor(engine_, deferred_[i].digest,
-                                             tq.clauses[deferred_[i].clause_idx]);
+        Key key = ProofCache<Engine>::KeyFor(
+            deferred_[i].w, tq.clauses[deferred_[i].clause_idx]);
         auto [it, inserted] = unique.try_emplace(key, jobs.size());
         if (inserted) {
           Job job;
@@ -477,10 +467,10 @@ class QueryProcessor {
       if (!inserted) it->second.SumInPlace(entry.w);
     } else {
       if (config_.num_prover_threads > 1) {
-        deferred_.push_back(DeferredProof{entry.w, entry.digest, clause_idx});
+        deferred_.push_back(DeferredProof{entry.w, clause_idx});
       } else {
-        auto proof = TracedGetOrProve(entry.digest, entry.w,
-                                      tq.clauses[clause_idx], /*in_walk=*/true);
+        auto proof = TracedGetOrProve(entry.w, tq.clauses[clause_idx],
+                                      /*in_walk=*/true);
         assert(proof.ok());
         svo.proof = proof.TakeValue();
       }
@@ -494,11 +484,7 @@ class QueryProcessor {
       for (auto& [clause_idx, summed] : agg->pending) {
         // One proof over the summed multiset equals the ProofSum of the
         // individual proofs (A is linear), at a single multiexp's cost.
-        uint32_t s_msm = SpanBegin(
-            "msm", agg_span_ != 0 ? agg_span_ : trace::kRootSpan);
-        auto digest = engine_.Digest(summed);
-        SpanEnd(s_msm);
-        auto proof = TracedGetOrProve(digest, summed, tq.clauses[clause_idx],
+        auto proof = TracedGetOrProve(summed, tq.clauses[clause_idx],
                                       /*in_walk=*/false);
         assert(proof.ok());
         vo->aggregated.push_back(
@@ -522,7 +508,6 @@ class QueryProcessor {
   QueryTrace* trace_ = nullptr;     // non-null only inside a traced call
   trace::SpanTree* spans_ = nullptr;  // trace_'s tree; same lifetime
   uint32_t walk_span_ = 0;  // open "match_walk" span during the walk
-  uint32_t agg_span_ = 0;   // open "aggregate" span during FlushAggregates
 };
 
 }  // namespace vchain::core

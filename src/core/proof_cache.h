@@ -3,8 +3,11 @@
 // The dominant SP cost is ProveDisjoint. The same (node multiset, clause)
 // pair recurs constantly — across blocks of a window walk, and massively
 // across subscription queries that share clauses (§7.1's motivation for the
-// IP-Tree). Proofs are cached under H(digest_bytes | clause_bytes), which is
-// canonical for any engine.
+// IP-Tree). api::Service shares one cache between its query processors and
+// its subscription manager. The key is SHA-256(w | clause) over the
+// count-prefixed multiset encodings: ProveDisjoint is deterministic in
+// (w, clause), so the key names the proof exactly for any engine, and
+// finding a proof costs no accumulator work (no digest, no MSM).
 //
 // The cache is LRU-bounded (ChainConfig::proof_cache_capacity): a standing
 // subscription SP proves against an ever-growing set of node digests, so an
@@ -21,7 +24,7 @@
 // partition (total resident proofs stay within capacity + shards - 1), which
 // is the right trade for a cache hammered by many query threads. Proofs are
 // deterministic, so cache behavior — including two threads racing to prove
-// the same key — can never change a proof, digest, or VO byte; it only
+// the same key — can never change a proof or VO byte; it only
 // affects how often ProveDisjoint runs.
 
 #ifndef VCHAIN_CORE_PROOF_CACHE_H_
@@ -58,15 +61,14 @@ class ProofCache {
     capacity_ = capacity;
   }
 
-  /// Canonical cache key for a (digest, clause) pair — H(digest | clause).
+  /// Canonical cache key for the proof of (w, clause) — H(w | clause).
   /// Public so batch passes can key their own dedup maps consistently.
-  static Key KeyFor(const Engine& engine,
-                    const typename Engine::ObjectDigest& digest,
-                    const accum::Multiset& clause) {
-    ByteWriter w;
-    engine.SerializeDigest(digest, &w);
-    clause.Serialize(&w);
-    return crypto::Sha256Digest(ByteSpan(w.bytes().data(), w.bytes().size()));
+  static Key KeyFor(const accum::Multiset& w, const accum::Multiset& clause) {
+    ByteWriter out;
+    w.Serialize(&out);
+    clause.Serialize(&out);
+    return crypto::Sha256Digest(
+        ByteSpan(out.bytes().data(), out.bytes().size()));
   }
 
   /// Returns the cached or freshly-computed proof for (w, clause); forwards
@@ -75,11 +77,11 @@ class ProofCache {
   /// behind a multiexp. `was_hit` (optional) reports whether the proof came
   /// from the cache — per-call attribution the aggregated stats() cannot
   /// give a tracing caller.
-  Result<typename Engine::Proof> GetOrProve(
-      const Engine& engine, const typename Engine::ObjectDigest& digest,
-      const accum::Multiset& w, const accum::Multiset& clause,
-      bool* was_hit = nullptr) {
-    Key key = KeyFor(engine, digest, clause);
+  Result<typename Engine::Proof> GetOrProve(const Engine& engine,
+                                            const accum::Multiset& w,
+                                            const accum::Multiset& clause,
+                                            bool* was_hit = nullptr) {
+    Key key = KeyFor(w, clause);
     Shard& shard = ShardFor(key);
     {
       std::lock_guard<std::mutex> lock(shard.mu);

@@ -1,8 +1,8 @@
 // Per-query stage trace: where did this query's wall time go?
 //
 // The paper's evaluation (vChain §8) breaks SP cost into window lookup,
-// clause matching, disjointness proving, and MSM — QueryTrace reproduces
-// that breakdown from a live server. QueryProcessor::TimeWindowQuery fills
+// clause matching and disjointness proving — QueryTrace reproduces that
+// breakdown from a live server. QueryProcessor::TimeWindowQuery fills
 // one when handed a non-null pointer; the api::Service wraps the call to
 // add serialization and total time, aggregates stages into histograms, and
 // the wire layer surfaces the trace as JSON in an `X-Vchain-Trace`
@@ -14,9 +14,8 @@
 //     (asserted in tests/net/net_e2e_test.cc).
 //   * The primary stages are non-overlapping and cover the whole
 //     processor+serialize path, so their sum tracks total_ns to within
-//     scheduling noise (the acceptance bound is ~10%). msm_ns is an
-//     informational sub-stage of aggregate_ns (the accumulate-then-digest
-//     multi-scalar exponentiation), not a sixth term of the sum.
+//     scheduling noise (the acceptance bound is ~10%). msm_ns always
+//     reads 0 (see its field doc).
 //
 // All times are monotonic-clock nanoseconds (metrics::MonotonicNanos).
 //
@@ -50,8 +49,8 @@ struct QueryTrace {
   /// The block walk: per-node clause matching, result collection,
   /// mismatch recording, skip-step attempts.
   uint64_t match_walk_ns = 0;
-  /// FlushAggregates: summed-multiset digesting (the MSM) and inline
-  /// aggregate proving.
+  /// FlushAggregates: per-clause aggregate proving (cache probe or
+  /// ProveDisjoint over the summed multiset).
   uint64_t aggregate_ns = 0;
   /// ResolveDeferredProofs: batch disjointness proving on the pool.
   uint64_t prove_ns = 0;
@@ -61,8 +60,9 @@ struct QueryTrace {
   /// Whole server-side call, measured around everything above (api tier).
   uint64_t total_ns = 0;
 
-  /// Informational sub-stage of aggregate_ns: time inside the engine
-  /// digest of summed multisets — the multi-scalar multiplication.
+  /// Always 0: the SP runs no MSM to find a cached proof (the cache is
+  /// keyed by content, core/proof_cache.h). Retained, with its "msm_ns"
+  /// ToJson key, for the published trace format.
   uint64_t msm_ns = 0;
 
   // --- Work counts. ---
@@ -101,7 +101,6 @@ struct QueryTrace {
     aggregate_ns = t.SumDurationsNs("aggregate");
     prove_ns = t.SumDurationsNs("prove");
     serialize_ns = t.SumDurationsNs("serialize");
-    msm_ns = t.SumDurationsNs("msm");
     if (t.RootDurationNs() > 0) total_ns = t.RootDurationNs();
   }
 

@@ -36,7 +36,9 @@
 // Proof sharing across queries (§7.1's motivation) happens through a
 // content-keyed decision memo + proof cache: one (index node, clause/cell)
 // disjointness decision and proof serves every query that needs it. The
-// IP-Tree provides the grid cells, query classification, and fallback
+// cache may be shared with time-window query processors (api::Service does),
+// so subscription and query proofs for the same (w, clause) are made once.
+// The IP-Tree provides the grid cells, query classification, and fallback
 // handling for queries the grid cannot resolve.
 //
 // Subscribe/Unsubscribe are incremental in both modes: interning and
@@ -167,13 +169,22 @@ class SubscriptionManager {
     IpTree::Options ip;
   };
 
+  /// `shared_cache` (optional) substitutes an external proof cache — e.g.
+  /// the one the caller's QueryProcessors use — for the internal one.
   SubscriptionManager(const Engine& engine, const ChainConfig& config,
-                      Options options)
+                      Options options,
+                      ProofCache<Engine>* shared_cache = nullptr)
       : engine_(engine),
         config_(config),
         options_(options),
         ip_tree_(config.schema, options.ip),
-        cache_(config.proof_cache_capacity) {}
+        own_cache_(config.proof_cache_capacity),
+        cache_(shared_cache != nullptr ? shared_cache : &own_cache_) {}
+
+  // cache_ may point at own_cache_, so a memberwise copy/move would leave
+  // the new object aiming into the source's storage.
+  SubscriptionManager(const SubscriptionManager&) = delete;
+  SubscriptionManager& operator=(const SubscriptionManager&) = delete;
 
   /// Register a standing query; returns its id. Rejects a structurally
   /// invalid query (inverted/out-of-domain range, out-of-schema dimension,
@@ -352,7 +363,7 @@ class SubscriptionManager {
   }
 
   typename ProofCache<Engine>::Stats cache_stats() const {
-    return cache_.stats();
+    return cache_->stats();
   }
 
  private:
@@ -442,7 +453,7 @@ class SubscriptionManager {
 
   /// The clause multiset for proofs — interned content under kIndexed, the
   /// per-query transform under kLinear. Same bytes either way, so proof
-  /// cache keys (H(digest | clause)) coincide across queries and matchers.
+  /// cache keys (H(w | clause)) coincide across queries and matchers.
   const Multiset& ClauseSet(const QueryRuntime& rt, uint32_t clause_idx) {
     if (options_.matcher == MatcherMode::kIndexed) {
       return index_.SetOf(rt.clause_ids[clause_idx]);
@@ -574,7 +585,7 @@ class SubscriptionManager {
                                           block.nodes[u.right].hash);
     SubExclusion<Engine> ex;
     ex.is_cell = false;
-    ex.proof = Prove(u.digest, u.w, index_.SetOf(interned_clause));
+    ex.proof = Prove(u.w, index_.SetOf(interned_clause));
     n.exclusions.push_back(std::move(ex));
     notif.nodes.push_back(std::move(n));
     notif.root = 0;
@@ -690,7 +701,7 @@ class SubscriptionManager {
     } else {
       n.kind = VoKind::kMismatch;
       n.inner_hash = block.objects[obj_idx].Hash();
-      FillExclusions(w, n.digest, query_id, &n);
+      FillExclusions(w, query_id, &n);
     }
     return n;
   }
@@ -732,11 +743,11 @@ class SubscriptionManager {
                          : crypto::HashPair(block.nodes[u.left].hash,
                                             block.nodes[u.right].hash);
       if (clause >= 0) {
-        AddClauseExclusion(u.w, n.digest, query_id,
-                           static_cast<uint32_t>(clause), &n);
+        AddClauseExclusion(u.w, query_id, static_cast<uint32_t>(clause),
+                           &n);
       } else {
         for (const CellBox& c : ip_tree_.TerminalCells(query_id)) {
-          AddCellExclusion(u.w, n.digest, c, &n);
+          AddCellExclusion(u.w, c, &n);
         }
       }
       notif->nodes.push_back(std::move(n));
@@ -756,13 +767,12 @@ class SubscriptionManager {
   /// Leaf-level exclusions, honoring the cell-vs-clause policy. A range
   /// mismatch always has a disjoint range-cover clause, so cells are an
   /// optional sharing strategy, never a necessity.
-  void FillExclusions(const Multiset& w,
-                      const typename Engine::ObjectDigest& digest,
-                      uint32_t query_id, SubVoNode<Engine>* n) {
+  void FillExclusions(const Multiset& w, uint32_t query_id,
+                      SubVoNode<Engine>* n) {
     const QueryRuntime& rt = runtime_.at(query_id);
     if (options_.prefer_cell_exclusions && AllCellsDisjoint(query_id, w)) {
       for (const CellBox& c : ip_tree_.TerminalCells(query_id)) {
-        AddCellExclusion(w, digest, c, n);
+        AddCellExclusion(w, c, n);
       }
       return;
     }
@@ -770,15 +780,13 @@ class SubscriptionManager {
     int clause =
         rt.view->FindDisjointClauseFrom(mapped_w_, rt.first_keyword_clause);
     assert(clause >= 0);
-    AddClauseExclusion(w, digest, query_id, static_cast<uint32_t>(clause), n);
+    AddClauseExclusion(w, query_id, static_cast<uint32_t>(clause), n);
   }
 
-  void AddClauseExclusion(const Multiset& w,
-                          const typename Engine::ObjectDigest& digest,
-                          uint32_t query_id, uint32_t clause_idx,
-                          SubVoNode<Engine>* n) {
+  void AddClauseExclusion(const Multiset& w, uint32_t query_id,
+                          uint32_t clause_idx, SubVoNode<Engine>* n) {
     QueryRuntime& rt = runtime_.at(query_id);
-    auto proof = Prove(digest, w, ClauseSet(rt, clause_idx));
+    auto proof = Prove(w, ClauseSet(rt, clause_idx));
     SubExclusion<Engine> ex;
     ex.is_cell = false;
     ex.clause_idx = clause_idx;
@@ -786,11 +794,10 @@ class SubscriptionManager {
     n->exclusions.push_back(std::move(ex));
   }
 
-  void AddCellExclusion(const Multiset& w,
-                        const typename Engine::ObjectDigest& digest,
-                        const CellBox& cell, SubVoNode<Engine>* n) {
+  void AddCellExclusion(const Multiset& w, const CellBox& cell,
+                        SubVoNode<Engine>* n) {
     Multiset set = cell.PrefixMultiset(config_.schema);
-    auto proof = Prove(digest, w, set);
+    auto proof = Prove(w, set);
     SubExclusion<Engine> ex;
     ex.is_cell = true;
     ex.cell = cell;
@@ -803,10 +810,9 @@ class SubscriptionManager {
     return accum::MappedIntersects(engine_, w, set);
   }
 
-  typename Engine::Proof Prove(const typename Engine::ObjectDigest& digest,
-                               const Multiset& w, const Multiset& set) {
+  typename Engine::Proof Prove(const Multiset& w, const Multiset& set) {
     if (options_.use_ip_tree) {
-      auto proof = cache_.GetOrProve(engine_, digest, w, set);
+      auto proof = cache_->GetOrProve(engine_, w, set);
       assert(proof.ok());
       return proof.TakeValue();
     }
@@ -893,9 +899,8 @@ class SubscriptionManager {
       batch.from_height = UnitLow(batch.units.front());
       batch.to_height = UnitHigh(batch.units.back());
       QueryRuntime& rt = runtime_.at(query_id);
-      auto digest = engine_.Digest(state->w_sum);
-      auto proof = cache_.GetOrProve(engine_, digest, state->w_sum,
-                                     ClauseSet(rt, batch.clause_idx));
+      auto proof = cache_->GetOrProve(engine_, state->w_sum,
+                                      ClauseSet(rt, batch.clause_idx));
       assert(proof.ok());
       batch.agg_proof = proof.TakeValue();
     }
@@ -925,7 +930,8 @@ class SubscriptionManager {
   ClauseIndex index_;
   std::map<uint32_t, QueryRuntime> runtime_;
   std::map<uint32_t, LazyState> lazy_state_;
-  ProofCache<Engine> cache_;
+  ProofCache<Engine> own_cache_;
+  ProofCache<Engine>* cache_;
   std::vector<uint64_t> mapped_w_;  // per-node mapping scratch
   // Per-block lazy-mode scratch (indexed matcher): mapped skip multisets by
   // level and the (level, clause) disjointness memo.

@@ -436,6 +436,31 @@ TYPED_TEST(ServiceTest, SubscriptionEventsFlowThroughAndVerify) {
   EXPECT_TRUE(svc.value()->TakeSubscriptionEvents().empty());
 }
 
+// One proof cache serves subscriptions and queries: the notification for a
+// non-matching standing query proves each block's root mismatch, and a later
+// query with the same predicate over one of those blocks needs that exact
+// (w, clause) proof, so it must be a cache hit, not a second ProveDisjoint.
+TYPED_TEST(ServiceTest, QueryReusesProofsMadeForNotifications) {
+  using Engine = TypeParam;
+  auto blocks = MakeBlocks(4, 3, /*seed=*/23, TestConfig().schema);
+  auto svc = Service::Open(BaseOptions<Engine>(TestOracle()));
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+
+  ASSERT_TRUE(svc.value()->Subscribe(QueryBuilder().AnyOf({"Truck"}).Build())
+                  .ok());
+  AppendAll(svc.value().get(), blocks);
+
+  uint64_t ts = blocks[2].front().timestamp;
+  Query q = QueryBuilder().Window(ts, ts).AnyOf({"Truck"}).Build();
+  core::QueryTrace trace;
+  auto r = svc.value()->Query(q, &trace);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(trace.blocks_walked, 1u);
+  EXPECT_EQ(trace.results_matched, 0u);
+  EXPECT_GT(trace.proof_cache_hits, 0u);
+  EXPECT_EQ(trace.proofs_computed, 0u);
+}
+
 TEST(ServiceValidationTest, RejectsStructurallyInvalidQueries) {
   auto svc = Service::Open(BaseOptions<accum::MockAcc2Engine>(TestOracle()));
   ASSERT_TRUE(svc.ok());

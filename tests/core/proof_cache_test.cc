@@ -30,7 +30,7 @@ TEST(ProofCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   ProofCache<MockAcc2Engine> cache(/*capacity=*/2);
 
   auto prove = [&](uint64_t k) {
-    auto proof = cache.GetOrProve(engine, engine.Digest(W(k)), W(k), Clause(k));
+    auto proof = cache.GetOrProve(engine, W(k), Clause(k));
     ASSERT_TRUE(proof.ok());
   };
 
@@ -47,10 +47,8 @@ TEST(ProofCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 
   // 0 survived thanks to the refresh; 1 was evicted.
-  auto key0 = ProofCache<MockAcc2Engine>::KeyFor(engine, engine.Digest(W(0)),
-                                                 Clause(0));
-  auto key1 = ProofCache<MockAcc2Engine>::KeyFor(engine, engine.Digest(W(1)),
-                                                 Clause(1));
+  auto key0 = ProofCache<MockAcc2Engine>::KeyFor(W(0), Clause(0));
+  auto key1 = ProofCache<MockAcc2Engine>::KeyFor(W(1), Clause(1));
   MockAcc2Engine::Proof out;
   EXPECT_TRUE(cache.Lookup(key0, &out));
   EXPECT_FALSE(cache.Lookup(key1, &out));
@@ -59,13 +57,13 @@ TEST(ProofCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
 TEST(ProofCacheTest, ReprovingAfterEvictionStillReturnsIdenticalProof) {
   MockAcc2Engine engine = MakeEngine();
   ProofCache<MockAcc2Engine> cache(/*capacity=*/1);
-  auto first = cache.GetOrProve(engine, engine.Digest(W(0)), W(0), Clause(0));
+  auto first = cache.GetOrProve(engine, W(0), Clause(0));
   ASSERT_TRUE(first.ok());
-  auto evictor = cache.GetOrProve(engine, engine.Digest(W(1)), W(1), Clause(1));
+  auto evictor = cache.GetOrProve(engine, W(1), Clause(1));
   ASSERT_TRUE(evictor.ok());
   EXPECT_EQ(cache.stats().evictions, 1u);
   // Proofs are deterministic: eviction affects cost, never bytes.
-  auto again = cache.GetOrProve(engine, engine.Digest(W(0)), W(0), Clause(0));
+  auto again = cache.GetOrProve(engine, W(0), Clause(0));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), first.value());
 }
@@ -74,7 +72,7 @@ TEST(ProofCacheTest, ZeroCapacityMeansUnbounded) {
   MockAcc2Engine engine = MakeEngine();
   ProofCache<MockAcc2Engine> cache(/*capacity=*/0);
   for (uint64_t k = 0; k < 100; ++k) {
-    auto proof = cache.GetOrProve(engine, engine.Digest(W(k)), W(k), Clause(k));
+    auto proof = cache.GetOrProve(engine, W(k), Clause(k));
     ASSERT_TRUE(proof.ok());
   }
   EXPECT_EQ(cache.size(), 100u);
@@ -84,13 +82,25 @@ TEST(ProofCacheTest, ZeroCapacityMeansUnbounded) {
 TEST(ProofCacheTest, InsertRefreshesExistingEntryWithoutGrowth) {
   MockAcc2Engine engine = MakeEngine();
   ProofCache<MockAcc2Engine> cache(/*capacity=*/2);
-  auto d0 = engine.Digest(W(0));
-  auto key0 = ProofCache<MockAcc2Engine>::KeyFor(engine, d0, Clause(0));
+  auto key0 = ProofCache<MockAcc2Engine>::KeyFor(W(0), Clause(0));
   auto proof = engine.ProveDisjoint(W(0), Clause(0));
   ASSERT_TRUE(proof.ok());
   cache.Insert(key0, proof.value());
   cache.Insert(key0, proof.value());
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ProofCacheTest, KeySeparatesWFromClause) {
+  // Same concatenated elements, split differently between w and clause:
+  // different proofs, so the count-prefixed encodings must give different
+  // keys.
+  using Cache = ProofCache<MockAcc2Engine>;
+  EXPECT_NE(Cache::KeyFor(Multiset{1, 2}, Multiset{3}),
+            Cache::KeyFor(Multiset{1}, Multiset{2, 3}));
+  EXPECT_NE(Cache::KeyFor(Multiset{1}, Multiset{2}),
+            Cache::KeyFor(Multiset{2}, Multiset{1}));
+  EXPECT_EQ(Cache::KeyFor(Multiset{1, 2}, Multiset{3}),
+            Cache::KeyFor(Multiset{1, 2}, Multiset{3}));
 }
 
 }  // namespace

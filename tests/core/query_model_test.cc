@@ -97,12 +97,11 @@ TEST(ProofCacheTest, HitsOnRepeatedRequests) {
   ProofCache<MockAcc2Engine> cache;
   Multiset w{1, 2, 3};
   Multiset clause{50, 60};
-  auto digest = engine.Digest(w);
-  auto p1 = cache.GetOrProve(engine, digest, w, clause);
+  auto p1 = cache.GetOrProve(engine, w, clause);
   ASSERT_TRUE(p1.ok());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
-  auto p2 = cache.GetOrProve(engine, digest, w, clause);
+  auto p2 = cache.GetOrProve(engine, w, clause);
   ASSERT_TRUE(p2.ok());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(p1.value(), p2.value());
@@ -116,8 +115,8 @@ TEST(ProofCacheTest, DistinctKeysDoNotCollide) {
   Multiset w1{1, 2};
   Multiset w2{3, 4};
   Multiset clause{99};
-  auto pa = cache.GetOrProve(engine, engine.Digest(w1), w1, clause);
-  auto pb = cache.GetOrProve(engine, engine.Digest(w2), w2, clause);
+  auto pa = cache.GetOrProve(engine, w1, clause);
+  auto pb = cache.GetOrProve(engine, w2, clause);
   ASSERT_TRUE(pa.ok());
   ASSERT_TRUE(pb.ok());
   EXPECT_EQ(cache.size(), 2u);
@@ -130,7 +129,7 @@ TEST(ProofCacheTest, IntersectionErrorNotCached) {
   ProofCache<MockAcc2Engine> cache;
   Multiset w{7};
   Multiset clause{7};
-  auto p = cache.GetOrProve(engine, engine.Digest(w), w, clause);
+  auto p = cache.GetOrProve(engine, w, clause);
   EXPECT_FALSE(p.ok());
   EXPECT_EQ(cache.size(), 0u);
 }
