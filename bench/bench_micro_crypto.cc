@@ -80,6 +80,49 @@ void BM_G2ScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_G2ScalarMul);
 
+/// Fixed-base g^k from the oracle's precomputed table (same scalar as the
+/// variable-base rows above).
+void BM_CommitG1(benchmark::State& state) {
+  auto oracle = Oracle();
+  Fr k = Fr::FromUint64(0xDEADBEEF12345ULL).Pow(U256(3));
+  for (auto _ : state) {
+    G1 r = oracle->CommitG1(k);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_CommitG1);
+
+void BM_CommitG2(benchmark::State& state) {
+  auto oracle = Oracle();
+  Fr k = Fr::FromUint64(0xDEADBEEF12345ULL).Pow(U256(3));
+  for (auto _ : state) {
+    G2 r = oracle->CommitG2(k);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_CommitG2);
+
+/// One proof's worth of acc2 cross-term powers, affine, as the honest
+/// ProveDisjoint requests them.
+void BM_G1PowersOfUncached(benchmark::State& state) {
+  auto oracle = Oracle();
+  uint64_t q = oracle->params().UniverseSize();
+  Rng rng(41);
+  std::vector<uint64_t> js(static_cast<size_t>(state.range(0)));
+  for (uint64_t& j : js) {
+    do {
+      j = rng.Range(1, q - 1) + q - rng.Range(1, q - 1);
+    } while (j == q);  // x == y: not a disjoint cross term
+  }
+  std::vector<G1Affine> out;
+  for (auto _ : state) {
+    oracle->G1PowersOfUncached(js, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_G1PowersOfUncached)->Arg(64)->Arg(4096);
+
 U256 RandScalar(Rng* rng) {
   U256 v(rng->Next(), rng->Next(), rng->Next(), rng->Next());
   v.limb[3] &= (1ULL << 62) - 1;

@@ -12,10 +12,13 @@
 //   prove            : deferred disjointness proving
 //   serialize        : canonical response encoding
 //
-// A second, untraced service (ServiceOptions::tracing = false, the true
-// zero-instrumentation path) answers the same query; `total_untraced-<e>`
-// and `trace_overhead_pct-<e>` pin the introspection plane's cost — the
-// acceptance bound is a median overhead <= 3%.
+// The service runs with ServiceOptions::tracing = false, so a plain
+// Query(q) takes the true zero-instrumentation path while Query(q, &trace)
+// is traced. Each iteration is one traced/untraced pair on the same warm
+// service, in alternating order, both wall-clocked from outside:
+// `total_untraced-<e>` is the untraced median and `trace_overhead_pct-<e>`
+// the median per-pair difference relative to it — the introspection
+// plane's cost, with an acceptance bound of <= 3%.
 //
 // Emits BENCH_query_stages.json. `--quick` shrinks the workload for CI
 // smoke; absolute numbers come from full runs.
@@ -44,7 +47,7 @@ int main(int argc, char** argv) {
   }
   Scale scale = GetScale();
   const size_t blocks = quick ? 8 : scale.window_blocks.back();
-  const size_t iters = quick ? 3 : 25;
+  const size_t iters = quick ? 3 : 101;
 
   DatasetProfile profile = workload::ProfileFor(workload::DatasetKind::k4SQ,
                                                 scale.objects_per_block);
@@ -65,19 +68,14 @@ int main(int argc, char** argv) {
     opts.config = ConfigFor(profile, IndexMode::kBoth);
     opts.oracle = SharedOracle();
     opts.prover_mode = ProverMode::kTrustedFast;
-    api::ServiceOptions opts_untraced = opts;
-    opts_untraced.tracing = false;
+    opts.tracing = false;  // traced only when a QueryTrace is passed
     auto svc = api::Service::Open(opts).TakeValue();
-    auto svc_untraced = api::Service::Open(opts_untraced).TakeValue();
 
     DatasetGenerator gen(profile, /*seed=*/1234);
-    DatasetGenerator gen2(profile, /*seed=*/1234);
     for (size_t b = 0; b < blocks; ++b) {
       auto objs = gen.NextBlock();
-      auto objs2 = gen2.NextBlock();
       uint64_t ts = objs.front().timestamp;
       if (!svc->Append(std::move(objs), ts).ok()) std::abort();
-      if (!svc_untraced->Append(std::move(objs2), ts).ok()) std::abort();
     }
 
     auto headers = svc->Headers(0, blocks - 1).TakeValue();
@@ -94,9 +92,22 @@ int main(int argc, char** argv) {
     StageSamples stages[] = {{"total"},   {"setup"},     {"window_lookup"},
                              {"match_walk"}, {"aggregate"}, {"prove"},
                              {"serialize"}};
+    // One untimed query first, so every pair sees the same warm caches.
+    if (!svc->Query(q).ok()) std::abort();
+    std::vector<double> untraced_ns, overhead_ns;
     for (size_t i = 0; i < iters; ++i) {
       core::QueryTrace t;
-      if (!svc->Query(q, &t).ok()) std::abort();
+      double traced_wall = 0, untraced_wall = 0;
+      // Alternate which half of the pair runs first so order effects cancel.
+      for (bool traced : {i % 2 == 0, i % 2 != 0}) {
+        uint64_t t0 = metrics::MonotonicNanos();
+        bool ok = traced ? svc->Query(q, &t).ok() : svc->Query(q).ok();
+        if (!ok) std::abort();
+        double wall = static_cast<double>(metrics::MonotonicNanos() - t0);
+        (traced ? traced_wall : untraced_wall) = wall;
+      }
+      untraced_ns.push_back(untraced_wall);
+      overhead_ns.push_back(traced_wall - untraced_wall);
       double vals[] = {static_cast<double>(t.total_ns),
                        static_cast<double>(t.setup_ns),
                        static_cast<double>(t.window_lookup_ns),
@@ -107,17 +118,6 @@ int main(int argc, char** argv) {
       for (size_t s = 0; s < std::size(stages); ++s) {
         stages[s].ns.push_back(vals[s]);
       }
-    }
-    // The untraced control: same chain, same query, tracing compiled in
-    // but disabled — wall-clocked from outside since there is no trace to
-    // read. Interleaving would hide cache asymmetry, but each service owns
-    // its caches, so a straight second loop measures the same steady state.
-    std::vector<double> untraced_ns;
-    for (size_t i = 0; i < iters; ++i) {
-      uint64_t t0 = metrics::MonotonicNanos();
-      if (!svc_untraced->Query(q).ok()) std::abort();
-      untraced_ns.push_back(
-          static_cast<double>(metrics::MonotonicNanos() - t0));
     }
 
     double total_median = Median(&stages[0].ns);
@@ -131,9 +131,7 @@ int main(int argc, char** argv) {
     }
     double untraced_median = Median(&untraced_ns);
     double overhead_pct =
-        untraced_median > 0
-            ? (total_median - untraced_median) / untraced_median * 100
-            : 0;
+        untraced_median > 0 ? Median(&overhead_ns) / untraced_median * 100 : 0;
     std::printf("%-16s %-18s %14.0f %8s\n", "total_untraced", engine_name,
                 untraced_median, "-");
     std::printf("%-16s %-18s %13.1f%% %8s\n", "trace_overhead", engine_name,

@@ -67,19 +67,22 @@ Result<Acc2Engine::Proof> Acc2Engine::ProveDisjoint(
     return Proof{oracle_->CommitG1(a * b).ToAffine()};
   }
   // Honest path: pi = prod over cross terms of g1^{s^{x_i + q - y_j}} with
-  // weight m_i * m_j. Disjointness guarantees x_i + q - y_j != q. Cross-term
-  // powers are served uncached (they rarely recur; see keys.h).
-  std::vector<G1Affine> bases;
+  // weight m_i * m_j. Disjointness guarantees x_i + q - y_j != q. The oracle
+  // serves all of one proof's cross-term powers in one uncached batch (see
+  // keys.h).
+  std::vector<uint64_t> indices;
   std::vector<U256> scalars;
-  bases.reserve(mw.DistinctSize() * mc.DistinctSize());
+  indices.reserve(mw.DistinctSize() * mc.DistinctSize());
+  scalars.reserve(mw.DistinctSize() * mc.DistinctSize());
   for (const Multiset::Entry& ew : mw.entries()) {
     for (const Multiset::Entry& ec : mc.entries()) {
-      uint64_t idx = ew.element + q - ec.element;
-      bases.push_back(oracle_->G1PowerOfUncached(idx));
+      indices.push_back(ew.element + q - ec.element);
       scalars.push_back(
           U256(static_cast<uint64_t>(ew.count) * ec.count));
     }
   }
+  std::vector<G1Affine> bases;
+  oracle_->G1PowersOfUncached(indices, &bases);
   return Proof{crypto::MultiScalarMul(bases, scalars, pool_).ToAffine()};
 }
 

@@ -6,26 +6,34 @@ namespace vchain::accum {
 
 template <typename F>
 FixedBaseTable<F>::FixedBaseTable(const Affine& base) {
-  table_.resize(64);
-  Point cur = Point::FromAffine(base);
-  for (int w = 0; w < 64; ++w) {
-    // cur == base * 2^{4w}; fill d*cur for d = 1..15.
-    table_[w][0] = cur;
-    for (int d = 1; d < 15; ++d) {
-      table_[w][d] = table_[w][d - 1].Add(cur);
+  table_.reserve(kWindows * kPerWindow);
+  std::vector<Point> row(kPerWindow);
+  std::vector<Affine> row_affine;
+  std::vector<F> zs, scratch;
+  Affine cur = base;
+  for (int w = 0; w < kWindows; ++w) {
+    // cur == base * 2^{8w}; fill d*cur for d = 1..128.
+    row[0] = Point::FromAffine(cur);
+    for (size_t d = 1; d < kPerWindow; ++d) {
+      row[d] = row[d - 1].AddAffine(cur);
     }
-    cur = table_[w][14].Add(cur);  // 16 * cur
+    crypto::BatchToAffine(row, &row_affine, &zs, &scratch);
+    table_.insert(table_.end(), row_affine.begin(), row_affine.end());
+    cur = row[kPerWindow - 1].Double().ToAffine();  // 256 * cur
   }
 }
 
 template <typename F>
 typename FixedBaseTable<F>::Point FixedBaseTable<F>::Mul(const U256& k) const {
+  int32_t digits[kWindows];
+  crypto::msm_internal::SignedDigits(k, kWindowBits, kWindows, 1, digits);
   Point acc = Point::Infinity();
-  for (int w = 0; w < 64; ++w) {
-    uint64_t digit = (k.limb[w / 16] >> (4 * (w % 16))) & 0xF;
-    if (digit != 0) {
-      acc = acc.Add(table_[w][digit - 1]);
-    }
+  for (int w = 0; w < kWindows; ++w) {
+    int32_t d = digits[w];
+    if (d == 0) continue;
+    const Affine& p = table_[static_cast<size_t>(w) * kPerWindow +
+                             static_cast<size_t>(d < 0 ? -d : d) - 1];
+    acc = acc.AddAffine(d < 0 ? p.Neg() : p);
   }
   return acc;
 }
@@ -88,6 +96,15 @@ G2Affine KeyOracle::G2PowerOf(uint64_t j) {
   G2Affine p = CommitG2(SecretPow(j)).ToAffine();
   g2_sparse_.emplace(j, p);
   return p;
+}
+
+void KeyOracle::G1PowersOfUncached(const std::vector<uint64_t>& js,
+                                   std::vector<G1Affine>* out) const {
+  std::vector<G1> jac;
+  jac.reserve(js.size());
+  for (uint64_t j : js) jac.push_back(CommitG1(SecretPow(j)));
+  std::vector<crypto::Fp> zs, scratch;
+  crypto::BatchToAffine(jac, out, &zs, &scratch);
 }
 
 void KeyOracle::WarmupG1(uint64_t n) {

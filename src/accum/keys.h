@@ -41,7 +41,10 @@ struct AccParams {
   uint64_t UniverseSize() const { return uint64_t{1} << universe_bits; }
 };
 
-/// Precomputed 4-bit-window fixed-base table for fast g^k.
+/// Precomputed fixed-base table for fast g^k: signed 8-bit windows over
+/// affine points, normalized once at construction. A scalar's signed
+/// base-2^8 digits (msm_internal::SignedDigits) pick one entry per window,
+/// so g^k costs at most 33 mixed adds (7M + 4S each) and no doublings.
 template <typename F>
 class FixedBaseTable {
  public:
@@ -50,12 +53,16 @@ class FixedBaseTable {
 
   explicit FixedBaseTable(const Affine& base);
 
-  /// base * k.
+  /// base * k, for any 256-bit k.
   Point Mul(const U256& k) const;
 
  private:
-  // table_[w][d-1] = base * (d << (4w)), d in [1, 15].
-  std::vector<std::array<Point, 15>> table_;
+  static constexpr int kWindowBits = 8;
+  static constexpr int kWindows = 33;         // 33 * 8 > 256: room for the top carry
+  static constexpr size_t kPerWindow = 128;   // signed digits |d| in [1, 128]
+
+  // table_[w * 128 + d - 1] = base * (d << (8w)), d in [1, 128].
+  std::vector<Affine> table_;
 };
 
 /// The trusted oracle: owns the setup secret, serves public-key powers.
@@ -74,12 +81,13 @@ class KeyOracle {
   G1Affine G1PowerOf(uint64_t j);
   G2Affine G2PowerOf(uint64_t j);
 
-  /// Same value, no memoization. Used for acc2's disjointness cross terms
-  /// x_i + q - y_j, which rarely recur — memoizing them would grow the cache
-  /// by |X|*|Y| entries per proof without amortization.
-  G1Affine G1PowerOfUncached(uint64_t j) const {
-    return CommitG1(SecretPow(j)).ToAffine();
-  }
+  /// out[i] = g1^{s^{js[i]}}, no memoization: acc2's disjointness cross
+  /// terms x_i + q - y_j. They do recur (at q = 2^16 within a few dozen
+  /// proofs), but memoizing all 2q-2 of them would keep ~9 MiB resident.
+  /// The Jacobian commits share one batched inversion (BatchToAffine), so
+  /// each term costs ~33 mixed adds rather than that plus an inversion.
+  void G1PowersOfUncached(const std::vector<uint64_t>& js,
+                          std::vector<G1Affine>* out) const;
 
   /// Eagerly materialize consecutive powers [0, n] (acc1 proving needs a
   /// dense prefix; this amortizes the lock).

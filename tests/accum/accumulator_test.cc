@@ -8,6 +8,7 @@
 #include "accum/acc2.h"
 #include "accum/engine.h"
 #include "accum/mock.h"
+#include "chain/transform.h"
 #include "common/rand.h"
 
 namespace vchain::accum {
@@ -284,6 +285,43 @@ TEST(ProverModeTest, Acc2FastDigestMatchesHonest) {
   }
 }
 
+// The same equality at realistic size: hundreds of distinct elements against
+// a 9-keyword clause and a range-cover clause, i.e. thousands of cross terms
+// served through the oracle's batch call.
+TEST(ProverModeTest, Acc2FastProofMatchesHonestAtRealisticSize) {
+  auto oracle = KeyOracle::Create(/*seed=*/124);  // q = 2^16, as deployed
+  Acc2Engine honest(oracle, ProverMode::kHonest);
+  Acc2Engine fast(oracle, ProverMode::kTrustedFast);
+  chain::NumericSchema schema;
+  int proved = 0;
+  for (uint64_t seed : {21ULL, 22ULL, 23ULL}) {
+    Rng rng(seed);
+    Multiset w;
+    while (w.DistinctSize() < 300) w.Add(rng.Next(), rng.Range(1, 3));
+    EXPECT_EQ(honest.Digest(w), fast.Digest(w)) << "seed=" << seed;
+
+    Multiset keywords;
+    for (int i = 0; i < 9; ++i) {
+      keywords.Add(EncodeKeyword("kw" + std::to_string(rng.Next())));
+    }
+    uint64_t lo = rng.Below(schema.DomainSize() / 2);
+    uint64_t hi = lo + rng.Below(schema.DomainSize() / 2);
+    Multiset range;
+    for (Element e : chain::RangeCoverElements(lo, hi, /*dim=*/0, schema)) {
+      range.Add(e);
+    }
+    for (const Multiset* clause : {&keywords, &range}) {
+      auto ph = honest.ProveDisjoint(w, *clause);
+      auto pf = fast.ProveDisjoint(w, *clause);
+      ASSERT_EQ(ph.ok(), pf.ok()) << "seed=" << seed;
+      if (!ph.ok()) continue;  // mapped collision: both refused
+      EXPECT_EQ(ph.value(), pf.value()) << "seed=" << seed;
+      ++proved;
+    }
+  }
+  EXPECT_GE(proved, 4);  // collisions stay the exception at q = 2^16
+}
+
 TEST(MappedIntersectsTest, UsesEngineMapping) {
   auto oracle = KeyOracle::Create(/*seed=*/1, SmallParams());
   Acc2Engine acc2(oracle);
@@ -317,6 +355,21 @@ TEST(KeyOracleTest, PowersAreConsistent) {
   }
 }
 
+// Signed 8-bit digits: 128 is the largest positive digit, 129 and 255 borrow
+// from the next window, and all-0x80 / all-0x7F / all-0xFF byte patterns
+// drive the carry through every window.
+std::vector<U256> DigitEdgeScalars() {
+  U256 r_minus_1 = (Fr::Zero() - Fr::One()).ToCanonical();
+  std::vector<U256> out = {U256(0),   U256(1),   U256(127), U256(128),
+                           U256(129), U256(255), U256(256), r_minus_1};
+  for (uint64_t byte : {0x80ULL, 0x7FULL, 0xFFULL}) {
+    uint64_t limb = byte * 0x0101010101010101ULL;
+    // Top byte cleared keeps the value below r, so CommitG1 sees it as is.
+    out.push_back(U256(limb, limb, limb, limb >> 8));
+  }
+  return out;
+}
+
 TEST(KeyOracleTest, FixedBaseMatchesScalarMul) {
   auto oracle = KeyOracle::Create(/*seed=*/10, SmallParams());
   Rng rng(11);
@@ -324,6 +377,44 @@ TEST(KeyOracleTest, FixedBaseMatchesScalarMul) {
     Fr k = Fr::FromU256Reduce(
         crypto::U256(rng.Next(), rng.Next(), rng.Next(), 0));
     EXPECT_TRUE(oracle->CommitG1(k).Equal(crypto::G1Mul(k)));
+  }
+  G1 g1 = G1::FromAffine(crypto::G1Generator());
+  G2 g2 = G2::FromAffine(crypto::G2Generator());
+  for (const U256& k : DigitEdgeScalars()) {
+    Fr v = Fr::FromU256Reduce(k);
+    ASSERT_EQ(v.ToCanonical(), k);
+    EXPECT_TRUE(oracle->CommitG1(v).Equal(g1.ScalarMul(k)))
+        << crypto::U256ToDecimal(k);
+    EXPECT_TRUE(oracle->CommitG2(v).Equal(g2.ScalarMul(k)))
+        << crypto::U256ToDecimal(k);
+  }
+  // Full 256-bit patterns (>= 2^255 for 0x80 and 0xFF) carry into the top
+  // window, which no Fr scalar reaches; drive the tables directly.
+  FixedBaseTable<crypto::Fp> t1(crypto::G1Generator());
+  FixedBaseTable<crypto::Fp2> t2(crypto::G2Generator());
+  std::vector<U256> wide = {U256(5, 0, 0, 0x8100000000000000ULL)};
+  for (uint64_t byte : {0x80ULL, 0x7FULL, 0xFFULL}) {
+    uint64_t limb = byte * 0x0101010101010101ULL;
+    wide.push_back(U256(limb, limb, limb, limb));
+  }
+  for (const U256& k : wide) {
+    EXPECT_TRUE(t1.Mul(k).Equal(g1.ScalarMul(k))) << crypto::U256ToDecimal(k);
+    EXPECT_TRUE(t2.Mul(k).Equal(g2.ScalarMul(k))) << crypto::U256ToDecimal(k);
+  }
+}
+
+TEST(KeyOracleTest, BatchPowersMatchSinglePowers) {
+  auto oracle = KeyOracle::Create(/*seed=*/13, SmallParams());
+  uint64_t top = 2 * oracle->params().UniverseSize() - 2;
+  std::vector<G1Affine> out(2);
+  oracle->G1PowersOfUncached({}, &out);
+  EXPECT_TRUE(out.empty());
+  std::vector<uint64_t> js = {0, 7, 7, top, 1, 0, top - 1, 4096, 7};
+  oracle->G1PowersOfUncached(js, &out);
+  ASSERT_EQ(out.size(), js.size());
+  for (size_t i = 0; i < js.size(); ++i) {
+    EXPECT_EQ(out[i], oracle->CommitG1(oracle->SecretPow(js[i])).ToAffine())
+        << "j=" << js[i];
   }
 }
 

@@ -154,6 +154,41 @@ TEST(MsmTest, BatchInvertMatchesIndividualInverses) {
   EXPECT_EQ(xs, expect);
 }
 
+template <typename F>
+void ExpectBatchToAffineMatchesToAffine(
+    const std::vector<JacobianPoint<F>>& in) {
+  std::vector<AffinePoint<F>> out(3);  // stale contents must not leak
+  std::vector<F> zs, scratch;
+  BatchToAffine(in, &out, &zs, &scratch);
+  ASSERT_EQ(out.size(), in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(out[i], in[i].ToAffine()) << "i=" << i;
+    EXPECT_EQ(out[i].infinity, in[i].IsInfinity()) << "i=" << i;
+  }
+}
+
+TEST(MsmTest, BatchToAffineSkipsInterleavedInfinity) {
+  Rng rng(109);
+  std::vector<G1> g1;
+  std::vector<G2> g2;
+  // Infinity first, last, back to back, and between finite points; finite
+  // points carry non-trivial z from the Jacobian arithmetic.
+  for (int i = 0; i < 12; ++i) {
+    if (i % 3 == 0 || i == 7 || i == 11) {
+      g1.push_back(G1::Infinity());
+      g2.push_back(G2::Infinity());
+    } else {
+      Fr k = Fr::FromUint64(rng.Next() | 1);
+      g1.push_back(G1Mul(k).Double());
+      g2.push_back(G2Mul(k).Double());
+    }
+  }
+  ExpectBatchToAffineMatchesToAffine(g1);
+  ExpectBatchToAffineMatchesToAffine(g2);
+  ExpectBatchToAffineMatchesToAffine(std::vector<G1>{});
+  ExpectBatchToAffineMatchesToAffine(std::vector<G1>(4, G1::Infinity()));
+}
+
 TEST(MsmTest, MixedAdditionEdgeCases) {
   G1 g = G1::FromAffine(G1Generator());
   // inf + P, P + inf.
